@@ -22,24 +22,18 @@ This subpackage reproduces that framework in Python:
 - :mod:`repro.clarens.codecs` — negotiable wire codecs (XML-RPC bodies
   and a compact JSON encoding) for the framed transport;
 - :mod:`repro.clarens.middleware` — the call pipeline every dispatch flows
-  through (tracing → metrics → auth → ACL → user middlewares → invoke);
-- :mod:`repro.clarens.telemetry` — thread-safe call statistics with
-  per-method latency percentiles, plus the bounded trace ring behind
-  ``system.recent_calls``;
+  through (tracing → auth → ACL → read cache → user middlewares → invoke);
+- :mod:`repro.clarens.telemetry` — the call and aio worker-pool
+  instruments in the host's wall-clock metrics registry
+  (``host.metrics``), the ``system.stats`` view over them, and the
+  bounded trace ring behind ``system.recent_calls``;
 - :mod:`repro.clarens.client` — proxy objects over pluggable transports;
 - :mod:`repro.clarens.transport` — loopback, XML-RPC and async framed
   transports;
 - :mod:`repro.clarens.discovery` — the peer-to-peer lookup network used for
   dynamic service discovery (§3, [5]);
 - :mod:`repro.clarens.serialization` — wire-safe marshalling helpers.
-
-The pre-redesign transport names (``InProcessTransport``,
-``XmlRpcTransport``) are still importable from here but raise a
-``DeprecationWarning``; use ``LoopbackTransport`` / ``SocketTransport``.
 """
-
-import warnings as _warnings
-from typing import Any as _Any
 
 from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     ANONYMOUS,
@@ -51,7 +45,6 @@ from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     AuthenticationError,
     AuthorizationError,
     CallContext,
-    CallStats,
     ClarensClient,
     ClarensFault,
     ClarensHost,
@@ -88,28 +81,6 @@ from repro.clarens.api import (  # noqa: F401  (re-exported surface)
     to_wire,
 )
 
-#: Deprecated aliases kept for pre-redesign callers (warn on access).
-_DEPRECATED_NAMES = {
-    "InProcessTransport": "LoopbackTransport",
-    "XmlRpcTransport": "SocketTransport",
-}
-
-
-def __getattr__(name: str) -> _Any:
-    try:
-        replacement = _DEPRECATED_NAMES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    _warnings.warn(
-        f"{__name__}.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return globals()[replacement]
-
-
 __all__ = [
     "ANONYMOUS",
     "AccessControlList",
@@ -120,7 +91,6 @@ __all__ = [
     "AuthenticationError",
     "AuthorizationError",
     "CallContext",
-    "CallStats",
     "ClarensClient",
     "ClarensFault",
     "ClarensHost",

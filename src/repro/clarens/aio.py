@@ -12,7 +12,7 @@ per-connection semaphore instead of one OS thread per concurrent call.
 
 The host stays synchronous: a bounded **worker pool** bridges async I/O
 into the thread-safe :class:`~repro.clarens.server.ClarensHost`, so the
-whole middleware pipeline (tracing → metrics → auth → ACL → read cache)
+whole middleware pipeline (tracing → auth → ACL → read cache)
 is reused unchanged and answers are wire-identical to every other
 transport.  The bridge drains requests in batches — decode, dispatch and
 encode all happen on the worker thread, and each batch wakes the event
@@ -58,7 +58,7 @@ from repro.clarens.framing import (
 from repro.clarens.framing import ERROR as ERROR_FRAME
 from repro.clarens.serialization import decode_trace_token
 from repro.clarens.server import ClarensHost
-from repro.clarens.telemetry import WorkerPoolStats
+from repro.clarens.telemetry import WorkerPoolMetrics
 
 
 class _Connection:
@@ -66,7 +66,7 @@ class _Connection:
 
     __slots__ = (
         "writer", "codec", "transport_label", "loop", "inflight", "closed",
-        "stats",
+        "pool",
     )
 
     def __init__(
@@ -75,7 +75,7 @@ class _Connection:
         codec: Codec,
         loop: asyncio.AbstractEventLoop,
         max_inflight: int,
-        stats: Optional[WorkerPoolStats] = None,
+        pool: WorkerPoolMetrics,
     ) -> None:
         self.writer = writer
         self.codec = codec
@@ -84,7 +84,7 @@ class _Connection:
         self.loop = loop
         self.inflight = asyncio.Semaphore(max_inflight)
         self.closed = False
-        self.stats = stats
+        self.pool = pool
 
     def post_replies(self, data: bytes, count: int) -> None:
         """Hand *count* concatenated reply frames to the event loop.
@@ -102,10 +102,7 @@ class _Connection:
         if not self.closed and not self.writer.is_closing():
             t0 = time.perf_counter()
             self.writer.write(data)
-            if self.stats is not None:
-                self.stats.record_stage(
-                    "reply_flush", time.perf_counter() - t0
-                )
+            self.pool.record_stage("reply_flush", time.perf_counter() - t0)
 
 
 class _WorkerBridge:
@@ -121,11 +118,11 @@ class _WorkerBridge:
         host: ClarensHost,
         workers: int,
         batch: int,
-        stats: Optional[WorkerPoolStats] = None,
+        pool: WorkerPoolMetrics,
     ) -> None:
         self._host = host
         self._batch = max(1, batch)
-        self._stats = stats
+        self._pool = pool
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._threads = [
             threading.Thread(
@@ -137,8 +134,7 @@ class _WorkerBridge:
             thread.start()
 
     def submit(self, conn: _Connection, request_id: int, payload: bytes) -> None:
-        if self._stats is not None:
-            self._stats.on_submit()
+        self._pool.on_submit()
         self._queue.put((conn, request_id, payload, time.perf_counter()))
 
     def stop(self) -> None:
@@ -163,25 +159,22 @@ class _WorkerBridge:
                     self._queue.put(None)  # re-post for a sibling worker
                     break
                 batch.append(extra)
-            stats = self._stats
-            if stats is not None:
-                stats.on_batch(len(batch))
+            pool = self._pool
+            pool.on_batch(len(batch))
             replies: Dict[_Connection, List[bytes]] = {}
             for conn, request_id, payload, enqueued in batch:
-                if stats is not None:
-                    stats.on_start(time.perf_counter() - enqueued)
+                pool.on_start(time.perf_counter() - enqueued)
                 replies.setdefault(conn, []).append(
                     self._execute(conn.codec, conn.transport_label, request_id, payload)
                 )
-                if stats is not None:
-                    stats.on_complete()
+                pool.on_complete()
             for conn, frames in replies.items():
                 conn.post_replies(b"".join(frames), len(frames))
 
     def _execute(
         self, codec: Codec, label: str, request_id: int, payload: bytes
     ) -> bytes:
-        stats = self._stats
+        pool = self._pool
         clk = time.perf_counter
         method = ""
         collect: Dict[str, Any] = {}
@@ -213,12 +206,11 @@ class _WorkerBridge:
             outcome = "fault"
         except Exception as exc:  # encode failure etc.: never drop a reply
             body = codec.encode_fault(500, f"{type(exc).__name__}: {exc}")
-        if stats is not None:
-            stats.record_stage("decode", decode_s)
-            if dispatch_s:
-                stats.record_stage("dispatch", dispatch_s, ok=outcome == "ok")
-            if encode_s:
-                stats.record_stage("encode", encode_s)
+        pool.record_stage("decode", decode_s)
+        if dispatch_s:
+            pool.record_stage("dispatch", dispatch_s, ok=outcome == "ok")
+        if encode_s:
+            pool.record_stage("encode", encode_s)
         self._annotate(method, label, collect, decode_s, dispatch_s, encode_s, outcome)
         return encode_frame(REPLY, request_id, body)
 
@@ -300,10 +292,10 @@ class AsyncSocketServerHandle:
             get_codec(name)  # fail fast on unknown names
         self._max_inflight = max_inflight
         self._dispatch_batch = dispatch_batch
-        #: Queue-depth and stage-latency telemetry for this server's
-        #: worker pool; registered on the host as ``async:<port>`` at
-        #: :meth:`start` so ``system.stats`` / ``/metrics`` surface it.
-        self.pool_stats = WorkerPoolStats()
+        #: Queue-depth and stage-latency instruments of this server's
+        #: worker pool, labelled ``pool="async:<port>"`` in
+        #: ``host.metrics``; created once the port is bound.
+        self._pool: Optional[WorkerPoolMetrics] = None
         self._started = False
         self._address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -322,9 +314,6 @@ class AsyncSocketServerHandle:
         if self._started:
             return self
         ready = threading.Event()
-        self._bridge = _WorkerBridge(
-            self.host, self._workers, self._dispatch_batch, self.pool_stats
-        )
         self._thread = threading.Thread(
             target=self._serve,
             args=(ready,),
@@ -334,14 +323,14 @@ class AsyncSocketServerHandle:
         self._thread.start()
         ready.wait()
         if self._startup_error is not None:
-            self._bridge.stop()
+            if self._bridge is not None:
+                self._bridge.stop()
+                self._bridge = None
             self._thread.join(timeout=5.0)
             raise TransportError(
                 f"async server failed to start: {self._startup_error}"
             ) from self._startup_error
         self._started = True
-        if self._address is not None:
-            self.host.worker_pools[f"async:{self._address[1]}"] = self.pool_stats
         return self
 
     def shutdown(self) -> None:
@@ -408,6 +397,12 @@ class AsyncSocketServerHandle:
             return
         sockname = server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
+        # No connection handler runs before the next await, so every call
+        # finds the pool instruments and the bridge in place.
+        self._pool = WorkerPoolMetrics(self.host.metrics, f"async:{self._address[1]}")
+        self._bridge = _WorkerBridge(
+            self.host, self._workers, self._dispatch_batch, self._pool
+        )
         ready.set()
         await self._stop_event.wait()
         server.close()
@@ -462,7 +457,7 @@ class AsyncSocketServerHandle:
         )
         conn = _Connection(
             writer, get_codec(codec_name), asyncio.get_event_loop(),
-            self._max_inflight, self.pool_stats,
+            self._max_inflight, self._pool,
         )
         self._conns.add(conn)
         bridge = self._bridge

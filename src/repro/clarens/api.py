@@ -19,10 +19,6 @@ The surface groups into:
   (:func:`get_codec`, :func:`codec_names`, :func:`negotiate`);
 - **framework plumbing** — registry, auth, ACL, middleware, telemetry,
   discovery, serialization helpers and the fault hierarchy.
-
-The pre-redesign names ``InProcessTransport`` and ``XmlRpcTransport``
-remain importable from :mod:`repro.clarens` (not from here) and warn with
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from repro.clarens.middleware import CallContext, Middleware
 from repro.clarens.registry import ServiceRegistry, clarens_method
 from repro.clarens.serialization import MulticallResult, from_wire, to_wire
 from repro.clarens.server import ClarensHost, XmlRpcServerHandle
-from repro.clarens.telemetry import CallStats, TraceLog, TraceRecord, new_trace_id
+from repro.clarens.telemetry import TraceLog, TraceRecord, new_trace_id
 from repro.clarens.transport import (
     AsyncSocketTransport,
     LoopbackTransport,
@@ -68,7 +64,6 @@ __all__ = [
     "AuthenticationError",
     "AuthorizationError",
     "CallContext",
-    "CallStats",
     "ClarensClient",
     "ClarensFault",
     "ClarensHost",

@@ -8,8 +8,7 @@ the context, short-circuit by raising (or returning without calling
 
 The built-in chain, outermost first::
 
-    TracingMiddleware     # stamps timings, records a TraceRecord
-    MetricsMiddleware     # feeds CallStats (counts + latency reservoirs)
+    TracingMiddleware     # times the call once: TraceRecord + host.metrics
     AuthenticationMiddleware   # token -> Principal (skipped when pre-set)
     AclMiddleware         # anonymous/ACL enforcement
     ReadCacheMiddleware   # epoch-keyed read cache (repro.clarens.readcache)
@@ -31,7 +30,7 @@ from repro.clarens.errors import (
     AuthorizationError,
     ClarensFault,
 )
-from repro.clarens.telemetry import CallStats, TraceLog, TraceRecord
+from repro.clarens.telemetry import CallMetrics, TraceLog, TraceRecord
 
 #: A middleware: receives the call context and the next handler in the chain.
 Middleware = Callable[["CallContext", Callable[["CallContext"], Any]], Any]
@@ -164,38 +163,18 @@ class AclMiddleware:
         return call_next(ctx)
 
 
-class MetricsMiddleware:
-    """Feeds :class:`CallStats`: counts, fault counts, and latency."""
-
-    def __init__(self, stats: CallStats) -> None:
-        self.stats = stats
-
-    def __call__(self, ctx: CallContext, call_next: Callable[[CallContext], Any]) -> Any:
-        t0 = time.perf_counter()
-        ok = False
-        try:
-            result = call_next(ctx)
-            ok = True
-            return result
-        finally:
-            self.stats.record(
-                ctx.method_path,
-                ok,
-                time.perf_counter() - t0,
-                served_from=ctx.served_from,
-                transport=ctx.transport,
-            )
-
-
 class TracingMiddleware:
-    """Stamps call timing/outcome and records finished calls in a ring.
+    """Times each call once, then records it in the trace ring and metrics.
 
     Outermost by default, so its duration covers the whole pipeline and
     its record reflects the final outcome after every other middleware.
+    One wall-clock duration feeds both sinks: the :class:`TraceRecord`
+    appended to *log* and the host's :class:`CallMetrics` instruments.
     """
 
-    def __init__(self, log: TraceLog) -> None:
+    def __init__(self, log: TraceLog, metrics: CallMetrics) -> None:
         self.log = log
+        self.metrics = metrics
 
     def __call__(self, ctx: CallContext, call_next: Callable[[CallContext], Any]) -> Any:
         t0 = time.perf_counter()
@@ -228,13 +207,19 @@ class TracingMiddleware:
                 error=ctx.fault_message,
                 served_from=ctx.served_from,
             ))
+            self.metrics.record(
+                ctx.method_path,
+                ctx.outcome == "ok",
+                ctx.duration_ms,
+                served_from=ctx.served_from,
+                transport=ctx.transport,
+            )
 
 
 __all__ = [
     "AclMiddleware",
     "AuthenticationMiddleware",
     "CallContext",
-    "MetricsMiddleware",
     "Middleware",
     "TracingMiddleware",
     "build_pipeline",

@@ -6,12 +6,15 @@ it flows through an explicit **middleware pipeline**
 (:mod:`repro.clarens.middleware`) operating on one
 :class:`~repro.clarens.middleware.CallContext`:
 
-    tracing → metrics → authentication → ACL → read cache → [user middlewares] → invoke
+    tracing → authentication → ACL → read cache → [user middlewares] → invoke
 
-so every hosted service inherits per-method latency metrics
-(``system.stats``), a queryable trace ring (``system.recent_calls``) and
-trace-id propagation for free.  ``host.add_middleware()`` extends the
-chain.
+The tracing middleware times each call once and records it twice over:
+a :class:`~repro.clarens.telemetry.TraceRecord` in the trace ring
+(``system.recent_calls``) and counters plus a latency histogram in the
+host's own wall-clock :class:`~repro.observability.metrics.MetricsRegistry`
+(``host.metrics``, read back by ``system.stats`` and the webui
+``/metrics``).  Every hosted service inherits both, and trace-id
+propagation, for free.  ``host.add_middleware()`` extends the chain.
 
 :class:`XmlRpcServerHandle` mounts a host on a real threaded HTTP XML-RPC
 server (stdlib ``xmlrpc.server``), the stand-in for the Windows-XP JClarens
@@ -37,7 +40,6 @@ from repro.clarens.middleware import (
     AclMiddleware,
     AuthenticationMiddleware,
     CallContext,
-    MetricsMiddleware,
     Middleware,
     TracingMiddleware,
     build_pipeline,
@@ -54,10 +56,10 @@ from repro.clarens.serialization import (
     decode_trace_token,
     to_wire,
 )
-from repro.clarens.telemetry import CallStats, TraceLog, new_trace_id
+from repro.clarens.telemetry import CallMetrics, TraceLog, new_trace_id, stats_snapshot
+from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
-    "CallStats",  # lives in telemetry now; re-exported for compatibility
     "ClarensHost",
     "XmlRpcServerHandle",
 ]
@@ -109,20 +111,15 @@ class _SystemService:
     def stats(self) -> Dict[str, Any]:
         """Aggregate call statistics for this host.
 
-        Returns ``calls``, ``faults``, ``per_method`` counts and
-        ``latency_ms`` — per-method ``{count, faults, mean_ms, p50_ms,
-        p95_ms, p99_ms, max_ms}`` summaries from the metrics middleware.
+        Returns ``calls``, ``faults``, ``per_method`` and
+        ``per_transport`` counts, ``served`` (non-executed answers by
+        source) and ``latency_ms`` — per-method ``{count, faults, mean_ms,
+        p50_ms, p95_ms, p99_ms, max_ms}`` summaries of executed calls.
         Hosts fronted by the async server also report ``worker_pools``:
-        per-pool queue depth and decode/dispatch/encode/reply-flush
-        stage latency summaries.
+        per-pool queue depth and queue-wait/decode/dispatch/encode/
+        reply-flush stage latency summaries.
         """
-        snap = self._host.stats.snapshot()
-        if self._host.worker_pools:
-            snap["worker_pools"] = {
-                label: pool.snapshot()
-                for label, pool in sorted(self._host.worker_pools.items())
-            }
-        return snap
+        return stats_snapshot(self._host.metrics)
 
     @clarens_method(anonymous=True)
     def observability(self) -> Dict[str, Any]:
@@ -247,7 +244,7 @@ class _SystemService:
             first_index = seen.get(key) if key is not None else None
             if first_index is not None and out[first_index].ok:
                 cache.note_coalesced(method)
-                host.stats.record(method, True, served_from="coalesced")
+                host.call_metrics.record(method, True, served_from="coalesced")
                 out.append(MulticallResult(
                     ok=True, result=out[first_index].result,
                     trace_id=ctx.trace_id,
@@ -301,7 +298,11 @@ class ClarensHost:
         self.time_source = time_source
         self.auth = AuthService(self.users, time_source, session_lifetime_s)
         self.acl = acl if acl is not None else AccessControlList(default_allow=False)
-        self.stats = CallStats()
+        #: Wall-clock call-pipeline instruments.  Separate from the GAE's
+        #: registry on purpose: it is never checkpointed and never sampled
+        #: by the sim-clock telemetry windows.
+        self.metrics = MetricsRegistry()
+        self.call_metrics = CallMetrics(self.metrics)
         self.traces = TraceLog(capacity=trace_capacity)
         #: Epoch counters every mutating subsystem bumps (``wire_epochs``).
         self.epochs = EpochRegistry()
@@ -313,11 +314,6 @@ class ClarensHost:
         #: The GAE's :class:`~repro.observability.instrument.GAEInstrumentation`
         #: when wired (``build_gae`` sets it); ``system.observability`` reads it.
         self.observability = None
-        #: Async front-end worker pools by label
-        #: (:class:`~repro.clarens.telemetry.WorkerPoolStats`); the aio
-        #: server registers at start, ``system.stats`` merges the
-        #: snapshots under ``worker_pools``.
-        self.worker_pools: Dict[str, Any] = {}
         self._user_middlewares: List[Middleware] = []
         self._pipeline = self._build_pipeline()
         self.registry.register(
@@ -329,8 +325,7 @@ class ClarensHost:
     # ------------------------------------------------------------------
     def _build_pipeline(self) -> Callable[[CallContext], Any]:
         chain: List[Middleware] = [
-            TracingMiddleware(self.traces),
-            MetricsMiddleware(self.stats),
+            TracingMiddleware(self.traces, self.call_metrics),
             AuthenticationMiddleware(self.auth),
             AclMiddleware(self.registry, self.acl),
             ReadCacheMiddleware(self.read_cache),
@@ -341,7 +336,7 @@ class ClarensHost:
     def add_middleware(self, middleware: Middleware) -> Middleware:
         """Append *middleware* to the pipeline (innermost position).
 
-        User middlewares run after the built-in tracing/metrics/auth/ACL
+        User middlewares run after the built-in tracing/auth/ACL/cache
         chain — the context reaches them with the principal resolved and
         the method entry cached — and before the terminal invoker.
         Returns *middleware* so the call can be used as a decorator.

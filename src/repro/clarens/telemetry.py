@@ -1,19 +1,22 @@
-"""Telemetry for the Clarens call pipeline: stats, latency, trace records.
+"""Telemetry for the Clarens call pipeline: metrics, latency, trace records.
 
 The paper's §7 performance study measures Clarens call latency from the
 outside only; this module gives the host its own instruments so every
 service inherits them for free:
 
-- :class:`CallStats` — thread-safe aggregate counters *and* per-method
-  latency reservoirs (p50/p95/p99), safe to update from the threaded
-  XML-RPC server's concurrent request threads;
+- :class:`CallMetrics` / :class:`WorkerPoolMetrics` — record calls and
+  aio worker-bridge stages into the host's wall-clock
+  :class:`~repro.observability.metrics.MetricsRegistry` (``host.metrics``);
+- :func:`stats_snapshot` — the ``system.stats`` view over those
+  instruments (counters plus p50/p95/p99 latency summaries);
 - :class:`TraceRecord` / :class:`TraceLog` — a bounded in-memory ring
   buffer of finished calls, queryable via ``system.recent_calls``;
 - :func:`new_trace_id` — cheap process-unique trace ids that propagate
   across transports and ``system.multicall`` sub-calls.
 
-Everything here is transport-neutral; the middlewares in
-:mod:`repro.clarens.middleware` feed these sinks.
+Everything here is transport-neutral; the tracing middleware in
+:mod:`repro.clarens.middleware` and the aio worker bridge feed these
+sinks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ import secrets as _secrets
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # the registry's package imports this module's package
+    from repro.observability.metrics import MetricsRegistry
 
 # ----------------------------------------------------------------------
 # trace ids
@@ -58,10 +64,9 @@ def percentile(samples: Sequence[float], q: float) -> float:
 class LatencyReservoir:
     """Fixed-capacity sample store: fills, then overwrites cyclically.
 
-    The sliding-window-of-recent-values behaviour behind ``CallStats``,
-    factored out so the unified metrics registry
-    (:mod:`repro.observability.metrics`) can reuse it for histograms.
-    Not thread-safe on its own — owners hold their own lock.
+    The sliding window of recent values behind every
+    :class:`~repro.observability.metrics.Histogram`.  Not thread-safe on
+    its own — owners hold their own lock.
     """
 
     __slots__ = ("cap", "samples", "_next")
@@ -88,248 +93,236 @@ class LatencyReservoir:
         return len(self.samples)
 
 
-class _MethodRecord:
-    """Per-method counters plus a fixed-size latency reservoir."""
-
-    __slots__ = ("count", "faults", "total_s", "max_s", "reservoir")
-
-    def __init__(self, cap: int = 512) -> None:
-        self.count = 0
-        self.faults = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-        self.reservoir = LatencyReservoir(cap)
-
-    @property
-    def samples(self) -> List[float]:
-        return self.reservoir.samples
-
-    def add(self, ok: bool, duration_s: Optional[float]) -> None:
-        self.count += 1
-        if not ok:
-            self.faults += 1
-        if duration_s is None:
-            return
-        self.total_s += duration_s
-        if duration_s > self.max_s:
-            self.max_s = duration_s
-        self.reservoir.add(duration_s)
-
-    def summary_ms(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"count": self.count, "faults": self.faults}
-        if self.samples:
-            samples = sorted(self.samples)
-            out.update(
-                mean_ms=self.total_s / self.count * 1000.0,
-                p50_ms=percentile(samples, 50) * 1000.0,
-                p95_ms=percentile(samples, 95) * 1000.0,
-                p99_ms=percentile(samples, 99) * 1000.0,
-                max_ms=self.max_s * 1000.0,
-            )
-        return out
-
-
-class CallStats:
-    """Thread-safe aggregate call statistics with per-method latency.
-
-    The public counter attributes (``calls``, ``faults``, ``per_method``)
-    keep their historical meaning; :meth:`record` now also accepts the
-    call duration, and :meth:`snapshot` adds the percentile summaries the
-    redesigned ``system.stats`` returns.  All mutation happens under one
-    lock because the threaded XML-RPC server records from concurrent
-    request threads.
-    """
-
-    def __init__(self, max_samples_per_method: int = 512) -> None:
-        self.calls = 0
-        self.faults = 0
-        self.per_method: Dict[str, int] = {}
-        self._methods: Dict[str, _MethodRecord] = {}
-        #: method -> {served_from -> count} for non-executed responses
-        #: ("cache" hits, "coalesced" multicall dedups).
-        self._served: Dict[str, Dict[str, int]] = {}
-        #: transport label -> call count ("inproc", "xmlrpc",
-        #: "async+json", ...); calls recorded without a label are omitted.
-        self._per_transport: Dict[str, int] = {}
-        self._cap = max_samples_per_method
-        self._lock = threading.Lock()
-
-    def record(
-        self,
-        method_path: str,
-        ok: bool,
-        duration_s: Optional[float] = None,
-        served_from: str = "execute",
-        transport: str = "",
-    ) -> None:
-        """Record one finished call (thread-safe).
-
-        ``served_from`` distinguishes full executions (``"execute"``) from
-        responses answered by the read cache (``"cache"``) or by multicall
-        deduplication (``"coalesced"``).  Only executed calls enter the
-        latency reservoirs — sub-microsecond cached responses would
-        otherwise silently drag p50/p95/p99 toward zero.  ``transport``,
-        when non-empty, feeds the per-transport breakdown in
-        :meth:`snapshot` (the async server reports one label per
-        negotiated codec, e.g. ``"async+json"``).
-        """
-        with self._lock:
-            self.calls += 1
-            if not ok:
-                self.faults += 1
-            self.per_method[method_path] = self.per_method.get(method_path, 0) + 1
-            if transport:
-                self._per_transport[transport] = (
-                    self._per_transport.get(transport, 0) + 1
-                )
-            if served_from != "execute":
-                sources = self._served.setdefault(method_path, {})
-                sources[served_from] = sources.get(served_from, 0) + 1
-                return
-            rec = self._methods.get(method_path)
-            if rec is None:
-                rec = self._methods[method_path] = _MethodRecord(self._cap)
-            rec.add(ok, duration_s)
-
-    def latency_summary(self, method_path: str) -> Dict[str, Any]:
-        """Latency summary for one method (empty dict when never called)."""
-        with self._lock:
-            rec = self._methods.get(method_path)
-            return rec.summary_ms() if rec is not None else {}
-
-    def mean_latency_s(self, method_path: str) -> Optional[float]:
-        """Mean duration (s) of one method, or None when never timed."""
-        with self._lock:
-            rec = self._methods.get(method_path)
-            if rec is None or rec.count == 0 or not rec.samples:
-                return None
-            return rec.total_s / rec.count
-
-    def methods(self) -> List[str]:
-        """Every method path ever recorded, sorted."""
-        with self._lock:
-            return sorted(self._methods)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A wire-safe snapshot: counters plus per-method percentiles."""
-        with self._lock:
-            per_method = dict(self.per_method)
-            latency = {name: rec.summary_ms() for name, rec in self._methods.items()}
-            served = {name: dict(srcs) for name, srcs in self._served.items()}
-            per_transport = dict(self._per_transport)
-            calls, faults = self.calls, self.faults
-        return {
-            "calls": calls,
-            "faults": faults,
-            "per_method": per_method,
-            "per_transport": per_transport,
-            "latency_ms": latency,
-            "served": served,
-        }
-
+#: The host's call-pipeline instruments (``host.metrics``).  Latencies
+#: are wall-clock milliseconds; only executed calls are timed.
+RPC_CALLS = "gae_rpc_method_calls_total"
+RPC_FAULTS = "gae_rpc_method_faults_total"
+RPC_SERVED = "gae_rpc_served_total"
+RPC_TRANSPORT_CALLS = "gae_rpc_transport_calls_total"
+RPC_LATENCY = "gae_rpc_latency_ms"
 
 #: Stages of the async server's worker bridge, in call order.  Every
 #: stage but ``reply_flush`` is timed on the worker thread; the flush is
 #: timed on the event loop (one sample per reply batch).
 WORKER_STAGES = ("queue_wait", "decode", "dispatch", "encode", "reply_flush")
 
+#: The aio worker-pool instruments, every series labelled ``pool``.
+POOL_SUBMITTED = "gae_aio_worker_submitted_total"
+POOL_COMPLETED = "gae_aio_worker_completed_total"
+POOL_BATCHES = "gae_aio_worker_batches_total"
+POOL_MAX_BATCH = "gae_aio_worker_batch_max"
+POOL_QUEUE_DEPTH = "gae_aio_worker_queue_depth"
+POOL_QUEUE_DEPTH_MAX = "gae_aio_worker_queue_depth_max"
+POOL_STAGE = "gae_aio_worker_stage_ms"
+POOL_STAGE_FAULTS = "gae_aio_worker_stage_faults_total"
 
-class WorkerPoolStats:
-    """Thread-safe stage timings and queue depth for an aio worker pool.
 
-    One instance per :class:`~repro.clarens.aio.AsyncSocketServerHandle`;
-    registered on the host (``host.worker_pools``) so ``system.stats``
-    and the Prometheus endpoint surface queue pressure and per-stage
-    latency (decode → dispatch → encode on the worker thread, plus the
-    loop-side reply flush) without touching the hot path more than a
-    few timestamps per call.
+class CallMetrics:
+    """Records finished calls into the host's :class:`MetricsRegistry`.
+
+    Holds instrument handles only — every count and sample lives in the
+    registry, whose locks make recording safe from the threaded servers'
+    concurrent request threads.  ``served_from`` separates executed
+    calls (``"execute"``) from responses answered by the read cache
+    (``"cache"``) or multicall deduplication (``"coalesced"``); only
+    executed calls are timed, so sub-microsecond cached answers cannot
+    drag the percentiles toward zero.  ``transport``, when non-empty,
+    feeds the per-transport counter (the async server reports one label
+    per negotiated codec, e.g. ``"async+json"``).
     """
 
-    def __init__(self, reservoir_cap: int = 512) -> None:
-        self._lock = threading.Lock()
-        self._stages: Dict[str, _MethodRecord] = {
-            stage: _MethodRecord(reservoir_cap) for stage in WORKER_STAGES
-        }
-        self.submitted = 0
-        self.completed = 0
-        self.batches = 0
-        self.max_batch = 0
-        self.queue_depth = 0
-        self.max_queue_depth = 0
+    def __init__(self, metrics: "MetricsRegistry") -> None:
+        self.calls = metrics.counter(RPC_CALLS, "Per-method call counts.")
+        self.faults = metrics.counter(RPC_FAULTS, "Per-method calls that ended in a fault.")
+        self.served = metrics.counter(
+            RPC_SERVED, "Per-method calls answered without executing, by source."
+        )
+        self.transports = metrics.counter(RPC_TRANSPORT_CALLS, "Calls by arriving transport.")
+        self.latency = metrics.histogram(
+            RPC_LATENCY, "Per-method wall-clock latency of executed calls (ms)."
+        )
+        metrics.gauge(
+            "gae_rpc_calls_total", "Calls dispatched by the Clarens host.", fn=self.calls.total
+        )
+        metrics.gauge(
+            "gae_rpc_faults_total", "Calls that ended in a fault.", fn=self.faults.total
+        )
+        # method -> pre-bound (calls, latency); transport -> bound counter.
+        # Races only ever bind the same labelset twice, which is harmless.
+        self._methods: Dict[str, Tuple[Any, Any]] = {}
+        self._transports: Dict[str, Any] = {}
 
-    # -- recording (all thread-safe) -----------------------------------
+    def record(
+        self,
+        method_path: str,
+        ok: bool,
+        duration_ms: float = 0.0,
+        served_from: str = "execute",
+        transport: str = "",
+    ) -> None:
+        """Record one finished call."""
+        bound = self._methods.get(method_path)
+        if bound is None:
+            bound = self._methods[method_path] = (
+                self.calls.bind(method=method_path),
+                self.latency.bind(method=method_path),
+            )
+        bound[0].inc()
+        if transport:
+            per_transport = self._transports.get(transport)
+            if per_transport is None:
+                per_transport = self._transports[transport] = self.transports.bind(
+                    transport=transport
+                )
+            per_transport.inc()
+        if not ok:
+            self.faults.inc(method=method_path)
+        if served_from == "execute":
+            bound[1].observe(duration_ms)
+        else:
+            self.served.inc(method=method_path, source=served_from)
+
+
+class WorkerPoolMetrics:
+    """Queue depth, batching and stage timings of one aio worker pool.
+
+    Every instrument is labelled ``pool=<label>`` in the host registry;
+    the series are created at zero on construction, so a started pool
+    shows up in ``system.stats`` and ``/metrics`` before its first call.
+    """
+
+    def __init__(self, metrics: "MetricsRegistry", pool: str) -> None:
+        self.pool = pool
+        self._submitted = metrics.counter(
+            POOL_SUBMITTED, "Requests entering the aio worker queue."
+        ).bind(pool=pool)
+        self._completed = metrics.counter(
+            POOL_COMPLETED, "Requests the aio workers finished."
+        ).bind(pool=pool)
+        self._batches = metrics.counter(
+            POOL_BATCHES, "Queue drains by the aio workers."
+        ).bind(pool=pool)
+        self._max_batch = metrics.gauge(
+            POOL_MAX_BATCH, "Largest request batch one aio worker drained."
+        ).bind(pool=pool)
+        self._depth = metrics.gauge(
+            POOL_QUEUE_DEPTH, "Requests waiting in the aio worker queue."
+        ).bind(pool=pool)
+        self._depth_max = metrics.gauge(
+            POOL_QUEUE_DEPTH_MAX, "High-water mark of the aio worker queue."
+        ).bind(pool=pool)
+        stages = metrics.histogram(POOL_STAGE, "Aio worker-bridge stage latency (ms).")
+        faults = metrics.counter(POOL_STAGE_FAULTS, "Aio worker-bridge stages that faulted.")
+        self._stages = {stage: stages.bind(pool=pool, stage=stage) for stage in WORKER_STAGES}
+        self._dispatch_faults = faults.bind(pool=pool, stage="dispatch")
+        for counter in (self._submitted, self._completed, self._batches):
+            counter.inc(0.0)
+        for gauge in (self._max_batch, self._depth, self._depth_max):
+            gauge.set(0.0)
+
     def on_submit(self) -> None:
         """A request entered the worker queue (loop side)."""
-        with self._lock:
-            self.submitted += 1
-            self.queue_depth += 1
-            if self.queue_depth > self.max_queue_depth:
-                self.max_queue_depth = self.queue_depth
+        self._submitted.inc()
+        self._depth_max.set_max(self._depth.inc())
 
     def on_start(self, queue_wait_s: float) -> None:
         """A worker picked the request up after *queue_wait_s* seconds."""
-        with self._lock:
-            self.queue_depth -= 1
-            self._stages["queue_wait"].add(True, queue_wait_s)
+        self._depth.inc(-1.0)
+        self._stages["queue_wait"].observe(queue_wait_s * 1000.0)
 
     def on_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            if size > self.max_batch:
-                self.max_batch = size
+        self._batches.inc()
+        self._max_batch.set_max(size)
 
     def record_stage(self, stage: str, duration_s: float, ok: bool = True) -> None:
         """Time one pipeline stage (``decode``/``dispatch``/``encode``/
-        ``reply_flush``)."""
-        with self._lock:
-            self._stages[stage].add(ok, duration_s)
+        ``reply_flush``); only ``dispatch`` can fault."""
+        self._stages[stage].observe(duration_s * 1000.0)
+        if not ok:
+            self._dispatch_faults.inc()
 
     def on_complete(self) -> None:
-        with self._lock:
-            self.completed += 1
+        self._completed.inc()
 
-    # -- reading -------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Wire-safe snapshot merged into ``system.stats``."""
-        with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "queue_depth": self.queue_depth,
-                "max_queue_depth": self.max_queue_depth,
-                "batches": self.batches,
-                "max_batch": self.max_batch,
-                "stages": {
-                    stage: rec.summary_ms()
-                    for stage, rec in self._stages.items()
-                    if rec.count
-                },
-            }
 
-    def prometheus_lines(self, pool: str) -> List[str]:
-        """Text-exposition lines for the webui ``/metrics`` endpoint."""
-        snap = self.snapshot()
-        label = f'{{pool="{pool}"}}'
-        lines = [
-            f"gae_aio_worker_submitted_total{label} {snap['submitted']}",
-            f"gae_aio_worker_completed_total{label} {snap['completed']}",
-            f"gae_aio_worker_batches_total{label} {snap['batches']}",
-            f"gae_aio_worker_queue_depth{label} {snap['queue_depth']}",
-            f"gae_aio_worker_queue_depth_max{label} {snap['max_queue_depth']}",
-        ]
-        for stage, summary in snap["stages"].items():
-            base = f'pool="{pool}",stage="{stage}"'
-            lines.append(
-                f"gae_aio_worker_stage_count{{{base}}} {summary['count']}"
-            )
-            for q in ("p50", "p95", "p99"):
-                key = f"{q}_ms"
-                if key in summary:
-                    lines.append(
-                        f'gae_aio_worker_stage_ms{{{base},quantile="{q}"}} '
-                        f"{summary[key]}"
-                    )
-        return lines
+def _by_label(metrics: "MetricsRegistry", name: str, label: str) -> Dict[str, Any]:
+    """One instrument's series keyed by the value of its *label*."""
+    return {dict(k)[label]: v for k, v in sorted(metrics.get(name).series().items())}
+
+
+def _latency_summary(summary: Dict[str, float], faults: float) -> Dict[str, Any]:
+    count = int(summary["count"])
+    return {
+        "count": count,
+        "faults": int(faults),
+        "mean_ms": summary["sum"] / count,
+        "p50_ms": summary["p50"],
+        "p95_ms": summary["p95"],
+        "p99_ms": summary["p99"],
+        "max_ms": summary["max"],
+    }
+
+
+def stats_snapshot(metrics: "MetricsRegistry") -> Dict[str, Any]:
+    """The ``system.stats`` view over a host registry's call instruments.
+
+    ``calls``/``faults`` totals, ``per_method`` and ``per_transport``
+    counts, ``latency_ms`` per executed method (``count``, ``faults``,
+    ``mean_ms``, ``p50_ms``, ``p95_ms``, ``p99_ms``, ``max_ms``) and
+    ``served`` (method -> source -> count for non-executed answers);
+    plus ``worker_pools`` once an aio server has started.
+    """
+    per_method = {m: int(v) for m, v in _by_label(metrics, RPC_CALLS, "method").items()}
+    faults = _by_label(metrics, RPC_FAULTS, "method")
+    served: Dict[str, Dict[str, int]] = {}
+    for key, value in sorted(metrics.get(RPC_SERVED).series().items()):
+        labels = dict(key)
+        served.setdefault(labels["method"], {})[labels["source"]] = int(value)
+    snap: Dict[str, Any] = {
+        "calls": sum(per_method.values()),
+        "faults": int(sum(faults.values())),
+        "per_method": per_method,
+        "per_transport": {
+            t: int(v) for t, v in _by_label(metrics, RPC_TRANSPORT_CALLS, "transport").items()
+        },
+        "latency_ms": {
+            m: _latency_summary(s, faults.get(m, 0.0))
+            for m, s in _by_label(metrics, RPC_LATENCY, "method").items()
+        },
+        "served": served,
+    }
+    if metrics.get(POOL_SUBMITTED) is not None:
+        snap["worker_pools"] = _worker_pools(metrics)
+    return snap
+
+
+#: ``worker_pools`` snapshot field -> instrument, in snapshot order.
+_POOL_FIELDS = (
+    ("submitted", POOL_SUBMITTED),
+    ("completed", POOL_COMPLETED),
+    ("queue_depth", POOL_QUEUE_DEPTH),
+    ("max_queue_depth", POOL_QUEUE_DEPTH_MAX),
+    ("batches", POOL_BATCHES),
+    ("max_batch", POOL_MAX_BATCH),
+)
+
+
+def _worker_pools(metrics: "MetricsRegistry") -> Dict[str, Any]:
+    pools: Dict[str, Dict[str, Any]] = {}
+    for field, name in _POOL_FIELDS:
+        for pool, value in _by_label(metrics, name, "pool").items():
+            pools.setdefault(pool, {})[field] = int(value)
+    for snap in pools.values():
+        snap["stages"] = {}
+    faults = metrics.get(POOL_STAGE_FAULTS).series()
+    order = {stage: i for i, stage in enumerate(WORKER_STAGES)}
+    series = metrics.get(POOL_STAGE).series().items()
+    for key, summary in sorted(series, key=lambda kv: order[dict(kv[0])["stage"]]):
+        labels = dict(key)
+        pools[labels["pool"]]["stages"][labels["stage"]] = _latency_summary(
+            summary, faults.get(key, 0.0)
+        )
+    return dict(sorted(pools.items()))
 
 
 @dataclass(frozen=True)

@@ -198,8 +198,13 @@ class QueueAccounting:
 
     # -- bookkeeping ----------------------------------------------------
     def _upsert(self, ad: CondorJobAd) -> None:
-        self._discard(ad.task_id)
         band = ad.priority
+        if self._band_of.get(ad.task_id) != band:
+            # Re-file at the end of the new band.  A same-band refresh
+            # (e.g. set_priority to the current value) updates in place:
+            # the journal records no priority change for it, and its fold
+            # must see the same per-band order.
+            self._discard(ad.task_id)
         entries = self._bands.setdefault(band, {})
         if self.estimate_db.has(ad.task_id):
             estimated: Optional[float] = self.estimate_db.lookup(ad.task_id)
@@ -212,6 +217,7 @@ class QueueAccounting:
             self._missing.setdefault(band, set()).add(ad.task_id)
         else:
             entries[ad.task_id] = max(0.0, estimated - ad.elapsed_runtime())
+            self._missing.get(band, set()).discard(ad.task_id)
         self._band_of[ad.task_id] = band
         self._dirty.add(band)
 

@@ -6,7 +6,7 @@ under the simulator clock — the stand-in for MonALISA's farm agents.
 repository job-state events (used directly in tests; in the full GAE wiring
 the Job Monitoring Service's DBManager plays this role, as in the paper).
 :class:`ServiceMetricsPublisher` samples a Clarens host's call-pipeline
-telemetry (``CallStats``) and publishes per-method latency series, so the
+metrics (the ``system.stats`` view of ``host.metrics``) and publishes per-method latency series, so the
 monitoring repository — and therefore ``monalisa.service_health`` — can
 report the health of the GAE services themselves, not just the sites.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
+from repro.clarens.telemetry import stats_snapshot
 from repro.gridsim.clock import PeriodicHandle, Simulator
 from repro.gridsim.condor import CondorJobAd
 from repro.gridsim.site import Site
@@ -116,10 +117,10 @@ class ServiceMetricsPublisher:
     - ``rpc.calls`` / ``rpc.faults`` — host-wide totals;
     - ``rpc.<service.method>.calls`` — per-method call count;
     - ``rpc.<service.method>.{mean,p50,p95,p99,max}_ms`` — latency summary
-      from the metrics middleware's reservoir.
+      of executed calls from the host's latency histogram.
 
-    *host* is duck-typed: anything with ``name`` and a ``stats.snapshot()``
-    returning the redesigned ``system.stats`` shape works.
+    *host* is duck-typed: anything with ``name`` and a ``metrics``
+    registry holding the Clarens call instruments works.
     """
 
     def __init__(
@@ -147,7 +148,7 @@ class ServiceMetricsPublisher:
         """
         if self._stopped:
             return
-        snapshot = self.host.stats.snapshot()
+        snapshot = stats_snapshot(self.host.metrics)
         farm, now = self.host.name, self.sim.now
         self.repository.publish(farm, "rpc.calls", now, float(snapshot["calls"]))
         self.repository.publish(farm, "rpc.faults", now, float(snapshot["faults"]))

@@ -397,21 +397,25 @@ class MonALISAConsumer(JournalConsumer):
 
 
 class AccountingConsumer(JournalConsumer):
-    """Shadow fold of the per-site queue accounting books (§6.2).
+    """Verifying fold of the per-site queue accounting books (§6.2).
 
     The live :class:`~repro.core.estimators.queue_time.QueueAccounting`
-    instances hear raw pool callbacks; this consumer folds the *journal's*
-    view of the same transitions (``dispatched`` events carry the frozen
-    priority/elapsed payload) into shadow books mirroring the live
-    ``_upsert``/``_discard`` insertion order, so the shadow's per-band
-    contribution maps — and hence the :func:`math.fsum` band totals —
-    are bit-identical for every journal-covered (scheduler-planned)
-    workload.  Tasks submitted around the scheduler never journal a
-    ``dispatched`` event and are deliberately absent from the shadow.
+    instances hear raw pool callbacks and stay the only live books; this
+    consumer keeps no state of its own between verifications.
+    :meth:`verify` folds the *journal's* view of the same transitions
+    (``dispatched`` events carry the frozen priority/elapsed payload)
+    from the baseline snapshot, mirroring the live ``_upsert``/
+    ``_discard`` insertion order, so the folded per-band contribution
+    maps — and hence the :func:`math.fsum` band totals — are
+    bit-identical to the live ones for every journal-covered
+    (scheduler-planned) workload.  Tasks submitted around the scheduler
+    never journal a ``dispatched`` event and are deliberately absent
+    from the fold.
 
-    ``replay`` is a no-op: a checkpoint restore rebuilds the live books
-    wholesale from the rehydrated pools (``QueueAccounting.reseed``), and
-    :meth:`rebaseline` then syncs the shadow from them.
+    ``apply`` and ``replay`` only count events: a checkpoint restore
+    rebuilds the live books wholesale from the rehydrated pools
+    (``QueueAccounting.reseed``), and :meth:`rebaseline` then snapshots
+    them as the fold origin.
     """
 
     name = "accounting"
@@ -451,10 +455,9 @@ class AccountingConsumer(JournalConsumer):
         super().__init__()
         self.services = services
         self.estimate_db = estimate_db
-        self._state = self._empty_state()
         self._base: Dict[str, Any] = self._empty_state()
 
-    # -- shadow-book state ---------------------------------------------
+    # -- folded-book state ---------------------------------------------
     @staticmethod
     def _empty_state() -> Dict[str, Any]:
         return {
@@ -491,7 +494,8 @@ class AccountingConsumer(JournalConsumer):
     def _upsert(
         self, state: Dict[str, Any], site: str, task_id: str, band: int, elapsed: float
     ) -> None:
-        self._discard(state, task_id)
+        if state["site_of"].get(task_id) != site or state["band_of"].get(task_id) != band:
+            self._discard(state, task_id)  # mirror QueueAccounting: same band stays put
         entries = state["books"].setdefault(site, {}).setdefault(band, {})
         if task_id in state["estimates"]:
             estimated: Optional[float] = state["estimates"][task_id]
@@ -502,6 +506,7 @@ class AccountingConsumer(JournalConsumer):
             state["missing"].setdefault(site, {}).setdefault(band, set()).add(task_id)
         else:
             entries[task_id] = max(0.0, estimated - elapsed)
+            state["missing"].get(site, {}).get(band, set()).discard(task_id)
         state["site_of"][task_id] = site
         state["band_of"][task_id] = band
         state["elapsed"][task_id] = elapsed
@@ -538,12 +543,10 @@ class AccountingConsumer(JournalConsumer):
             self._discard(state, task_id)
 
     # -- consumer protocol ---------------------------------------------
-    def apply(self, event: JournalEvent) -> None:
+    def apply(self, event: JournalEvent) -> None:  # see class docstring
         self.events_applied += 1
-        self._fold(self._state, event)
 
-    def replay(self, event: JournalEvent) -> None:  # see class docstring
-        self.events_applied += 1
+    replay = apply
 
     @staticmethod
     def _fingerprint_of(state: Dict[str, Any]) -> Any:
@@ -586,9 +589,8 @@ class AccountingConsumer(JournalConsumer):
         }
 
     def _capture_baseline(self) -> None:
-        # Sync the shadow from the live books (covers restores, where the
-        # live side was reseeded from the rehydrated pools) and keep a
-        # frozen copy as the fold origin.
+        # Snapshot the live books as the fold origin (covers restores,
+        # where the live side was reseeded from the rehydrated pools).
         state = self._empty_state()
         state["estimates"] = self.estimate_db.as_dict()
         for site in sorted(self.services):
@@ -597,9 +599,9 @@ class AccountingConsumer(JournalConsumer):
                 continue
             pool = acct.service.pool
             for band, entries in acct._bands.items():
-                shadow = state["books"].setdefault(site, {})[band] = {}
+                book = state["books"].setdefault(site, {})[band] = {}
                 for task_id, value in entries.items():
-                    shadow[task_id] = value
+                    book[task_id] = value
                     state["site_of"][task_id] = site
                     state["band_of"][task_id] = band
                     try:
@@ -609,8 +611,7 @@ class AccountingConsumer(JournalConsumer):
             for band, tasks in acct._missing.items():
                 if tasks:
                     state["missing"].setdefault(site, {})[band] = set(tasks)
-        self._state = state
-        self._base = self._copy_state(state)
+        self._base = state
 
     def live_fingerprint(self) -> Any:
         state = self._empty_state()
@@ -625,10 +626,6 @@ class AccountingConsumer(JournalConsumer):
                 band: set(tasks) for band, tasks in acct._missing.items()
             }
         return self._fingerprint_of(state)
-
-    def shadow_fingerprint(self) -> Any:
-        """The shadow books as folded live (diagnostics / CLI)."""
-        return self._fingerprint_of(self._state)
 
     def _fold_fingerprint(self, events: List[JournalEvent]) -> Any:
         state = self._copy_state(self._base)

@@ -3,9 +3,10 @@
 One :class:`MetricsRegistry` per GAE collects named instruments from
 steering, monitoring, estimators, condor and accounting, so a single
 ``system.observability`` call (or the webui ``/metrics`` endpoint) can
-expose them all.  Histograms reuse the sliding-window
-:class:`~repro.clarens.telemetry.LatencyReservoir` behind ``CallStats``
-rather than growing a second percentile implementation.
+expose them all.  The Clarens host keeps a second, wall-clock registry of
+the same kind (``host.metrics``) for its call pipeline.  Histograms keep
+a sliding-window :class:`~repro.clarens.telemetry.LatencyReservoir` for
+percentiles.
 
 Naming convention (documented in docs/ARCHITECTURE.md): metric names are
 ``gae_<area>_<what>[_total]`` — snake_case, ``gae_`` prefix, ``_total``
@@ -41,6 +42,13 @@ def _label_str(key: LabelKey) -> str:
     if not key:
         return ""
     return "{" + ",".join(f'{k}="{v}"' for k, v in key) + "}"
+
+
+def _num(value: float) -> str:
+    """Exposition form of a sample: whole numbers exactly, others ``%g``."""
+    if float(value).is_integer():
+        return str(int(value))
+    return f"{value:g}"
 
 
 class _Instrument:
@@ -119,6 +127,11 @@ class Counter(_Instrument):
         with self._lock:
             return sum(self._values.values())
 
+    def series(self) -> Dict[LabelKey, float]:
+        """Every labelset's value, keyed by its ``((label, value), ...)`` key."""
+        with self._lock:
+            return dict(self._values)
+
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             values = dict(self._values)
@@ -133,8 +146,36 @@ class Counter(_Instrument):
         with self._lock:
             values = dict(self._values)
         for key, value in sorted(values.items()):
-            lines.append(f"{self.name}{_label_str(key)} {value:g}")
+            lines.append(f"{self.name}{_label_str(key)} {_num(value)}")
         return lines
+
+
+class _BoundGauge:
+    """A gauge pre-bound to one labelset."""
+
+    __slots__ = ("_gauge", "_key")
+
+    def __init__(self, gauge: "Gauge", key: LabelKey) -> None:
+        self._gauge = gauge
+        self._key = key
+
+    def set(self, value: float) -> None:
+        with self._gauge._lock:
+            self._gauge._values[self._key] = float(value)
+
+    def inc(self, amount: float = 1.0) -> float:
+        """Add *amount* and return the new value (read under the same lock)."""
+        gauge, key = self._gauge, self._key
+        with gauge._lock:
+            value = gauge._values[key] = gauge._values.get(key, 0.0) + amount
+        return value
+
+    def set_max(self, value: float) -> None:
+        """Raise the value to *value* if it is higher (a high-water mark)."""
+        gauge, key = self._gauge, self._key
+        with gauge._lock:
+            if value > gauge._values.get(key, 0.0):
+                gauge._values[key] = float(value)
 
 
 class Gauge(_Instrument):
@@ -158,6 +199,10 @@ class Gauge(_Instrument):
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
+
+    def bind(self, **labels: Any) -> _BoundGauge:
+        """A handle with the labelset resolved once, for per-event call sites."""
+        return _BoundGauge(self, _label_key(labels))
 
     def value(self, **labels: Any) -> float:
         if self._fn is not None and not labels:
@@ -194,6 +239,10 @@ class Gauge(_Instrument):
         """Sum over every labelset (including the fn-backed value)."""
         return sum(self._current().values())
 
+    def series(self) -> Dict[LabelKey, float]:
+        """Every labelset's value (including the fn-backed one under ``()``)."""
+        return self._current()
+
     def snapshot(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
@@ -204,7 +253,7 @@ class Gauge(_Instrument):
     def prometheus_lines(self) -> List[str]:
         lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} gauge"]
         for key, value in sorted(self._current().items()):
-            lines.append(f"{self.name}{_label_str(key)} {value:g}")
+            lines.append(f"{self.name}{_label_str(key)} {_num(value)}")
         return lines
 
 
@@ -317,6 +366,11 @@ class Histogram(_Instrument):
             series = self._series.get(_label_key(labels))
             return series.summary() if series is not None else {}
 
+    def series(self) -> Dict[LabelKey, Dict[str, float]]:
+        """Every labelset's :meth:`summary`, keyed like :meth:`Counter.series`."""
+        with self._lock:
+            return {k: s.summary() for k, s in self._series.items()}
+
     def total_count(self) -> float:
         """Observation count summed over every labelset."""
         with self._lock:
@@ -359,9 +413,9 @@ class Histogram(_Instrument):
             for q, field in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
                 if field in summary:
                     quantile_key = _label_key({**base, "quantile": q})
-                    lines.append(f"{self.name}{_label_str(quantile_key)} {summary[field]:g}")
-            lines.append(f"{self.name}_sum{_label_str(key)} {summary['sum']:g}")
-            lines.append(f"{self.name}_count{_label_str(key)} {summary['count']:g}")
+                    lines.append(f"{self.name}{_label_str(quantile_key)} {_num(summary[field])}")
+            lines.append(f"{self.name}_sum{_label_str(key)} {_num(summary['sum'])}")
+            lines.append(f"{self.name}_count{_label_str(key)} {_num(summary['count'])}")
         return lines
 
 

@@ -165,8 +165,22 @@ class TestTelemetry:
     def test_per_transport_label(self, server, host):
         with AsyncSocketTransport(server.address, codec="json") as t:
             t.call("system.ping", [])
-        snapshot = host.stats.snapshot()
+        snapshot = host.dispatch("system.stats", [], "")
         assert snapshot["per_transport"].get("async+json", 0) >= 1
+
+    def test_queue_wait_stage_in_system_stats(self, server, host):
+        """The two fields perfbench's ``clarens.aio.queue_wait_ms`` reads."""
+        label = f"async:{server.address[1]}"
+        before = host.dispatch("system.stats", [], "")["worker_pools"][label]
+        assert before["stages"] == {}
+        with AsyncSocketTransport(server.address, codec="json") as t:
+            t.call_pipelined([("system.ping", [])] * 10)
+        pool = host.dispatch("system.stats", [], "")["worker_pools"][label]
+        queue_wait = pool["stages"]["queue_wait"]
+        assert queue_wait["count"] == 10
+        assert queue_wait["mean_ms"] >= 0.0
+        assert pool["submitted"] == pool["completed"] == 10
+        assert pool["queue_depth"] == 0
 
     def test_client_over_async_transport(self, server):
         client = ClarensClient(server.url, codec="json")

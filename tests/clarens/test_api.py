@@ -1,4 +1,4 @@
-"""Tests for the redesigned public API surface and its deprecation shims."""
+"""Tests for the redesigned public API surface."""
 
 import warnings
 
@@ -56,23 +56,7 @@ class TestApiSurface:
 
 
 class TestDeprecationShims:
-    def test_clarens_old_names_warn(self):
-        with pytest.warns(DeprecationWarning, match="LoopbackTransport"):
-            assert repro.clarens.InProcessTransport is LoopbackTransport
-        with pytest.warns(DeprecationWarning, match="SocketTransport"):
-            assert repro.clarens.XmlRpcTransport is SocketTransport
-
-    def test_transport_module_old_names_warn(self):
-        with pytest.warns(DeprecationWarning):
-            assert transport_mod.InProcessTransport is LoopbackTransport
-        with pytest.warns(DeprecationWarning):
-            assert transport_mod.XmlRpcTransport is SocketTransport
-
-    def test_top_level_old_names_warn(self):
-        with pytest.warns(DeprecationWarning):
-            assert repro.InProcessTransport is LoopbackTransport
-        with pytest.warns(DeprecationWarning):
-            assert repro.XmlRpcTransport is SocketTransport
+    """The 2005-era transport aliases are gone, not shimmed."""
 
     def test_new_names_do_not_warn(self):
         with warnings.catch_warnings():
@@ -86,6 +70,10 @@ class TestDeprecationShims:
             repro.clarens.NoSuchThing
         with pytest.raises(AttributeError):
             transport_mod.NoSuchThing
+        for module in (repro, repro.clarens, transport_mod):
+            for old in ("InProcessTransport", "XmlRpcTransport"):
+                with pytest.raises(AttributeError):
+                    getattr(module, old)
 
 
 class TestResolveTransport:

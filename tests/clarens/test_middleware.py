@@ -5,12 +5,19 @@ import pytest
 from repro.clarens.errors import AuthorizationError, RemoteFault
 from repro.clarens.middleware import (
     CallContext,
-    MetricsMiddleware,
     TracingMiddleware,
     build_pipeline,
 )
 from repro.clarens.server import ClarensHost
-from repro.clarens.telemetry import CallStats, TraceLog
+from repro.clarens.telemetry import CallMetrics, TraceLog, stats_snapshot
+from repro.observability.metrics import MetricsRegistry
+
+
+def _tracing(log):
+    """A tracing middleware over *log* and a fresh registry."""
+    metrics = MetricsRegistry()
+    middleware = TracingMiddleware(log, CallMetrics(metrics))
+    return middleware, metrics
 
 
 class TestCallContext:
@@ -63,32 +70,38 @@ class TestBuildPipeline:
 
 
 class TestMetricsMiddleware:
+    """The tracing middleware's metrics side: counts, faults, latency."""
+
     def test_records_latency_and_outcome(self):
-        stats = CallStats()
-        handler = build_pipeline([MetricsMiddleware(stats)], lambda ctx: "ok")
-        handler(CallContext("a.b", []))
-        summary = stats.latency_summary("a.b")
+        middleware, metrics = _tracing(TraceLog())
+        handler = build_pipeline([middleware], lambda ctx: "ok")
+        ctx = CallContext("a.b", [])
+        handler(ctx)
+        summary = stats_snapshot(metrics)["latency_ms"]["a.b"]
         assert summary["count"] == 1
         assert summary["faults"] == 0
         assert summary["mean_ms"] >= 0.0
+        # One timing feeds both sinks.
+        assert summary["mean_ms"] == ctx.duration_ms
 
     def test_counts_faults(self):
-        stats = CallStats()
+        middleware, metrics = _tracing(TraceLog())
 
         def boom(ctx):
             raise RemoteFault("no")
 
-        handler = build_pipeline([MetricsMiddleware(stats)], boom)
+        handler = build_pipeline([middleware], boom)
         with pytest.raises(RemoteFault):
             handler(CallContext("a.b", []))
-        assert stats.faults == 1
-        assert stats.latency_summary("a.b")["faults"] == 1
+        snap = stats_snapshot(metrics)
+        assert snap["faults"] == 1
+        assert snap["latency_ms"]["a.b"]["faults"] == 1
 
 
 class TestTracingMiddleware:
     def test_stamps_duration_and_records(self):
         log = TraceLog()
-        handler = build_pipeline([TracingMiddleware(log)], lambda ctx: "ok")
+        handler = build_pipeline([_tracing(log)[0]], lambda ctx: "ok")
         ctx = CallContext("a.b", [], trace_id="t-1", started=12.5)
         handler(ctx)
         assert ctx.outcome == "ok"
@@ -104,7 +117,7 @@ class TestTracingMiddleware:
         def boom(ctx):
             raise AuthorizationError("denied")
 
-        handler = build_pipeline([TracingMiddleware(log)], boom)
+        handler = build_pipeline([_tracing(log)[0]], boom)
         with pytest.raises(AuthorizationError):
             handler(CallContext("a.b", [], trace_id="t-2"))
         (record,) = log.snapshot()

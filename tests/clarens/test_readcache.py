@@ -257,7 +257,7 @@ class TestReadCacheMiddleware:
         host, service, client = rig
         client.call("jobs.status", "t1")
         client.call("jobs.status", "t1")
-        stats = host.stats.snapshot()
+        stats = host.dispatch("system.stats", [], "")
         assert stats["served"]["jobs.status"]["cache"] == 1
         # Only the executed call enters the latency reservoir.
         assert stats["latency_ms"]["jobs.status"]["count"] == 1
@@ -281,7 +281,7 @@ class TestMulticallCoalescing:
         assert service.executions == 1
         snap = host.read_cache.snapshot()["per_method"]["jobs.status"]
         assert snap["coalesced"] == 2
-        assert host.stats.snapshot()["served"]["jobs.status"]["coalesced"] == 2
+        assert host.dispatch("system.stats", [], "")["served"]["jobs.status"]["coalesced"] == 2
 
     def test_mutating_subcall_resets_the_dedup_window(self, rig):
         host, service, client = rig

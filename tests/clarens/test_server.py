@@ -120,13 +120,13 @@ class TestStats:
         token = login(host)
         host.dispatch("calc.add", [1, 1], token)
         host.dispatch("calc.add", [2, 2], token)
-        assert host.stats.per_method["calc.add"] == 2
+        assert host.dispatch("system.stats", [], "")["per_method"]["calc.add"] == 2
 
     def test_fault_counting(self, host):
         token = login(host)
         with pytest.raises(RemoteFault):
             host.dispatch("calc.fail", [], token)
-        assert host.stats.faults == 1
+        assert host.dispatch("system.stats", [], "")["faults"] == 1
 
     def test_session_expiry_uses_injected_clock(self):
         clock = {"now": 0.0}
@@ -188,7 +188,7 @@ class TestRecentCalls:
 
 class TestConcurrentDispatch:
     def test_16_threads_no_lost_stat_updates(self, host):
-        """Regression: CallStats.record used to race under the threaded
+        """Regression: call recording used to race under the threaded
         XML-RPC server (plain-dict read-modify-write with no lock)."""
         import threading
 
@@ -210,8 +210,9 @@ class TestConcurrentDispatch:
         for t in threads:
             t.join()
         assert not errors
-        assert host.stats.per_method["calc.add"] == n_threads * calls_per_thread
-        latency = host.stats.latency_summary("calc.add")
+        stats = host.dispatch("system.stats", [], "")
+        assert stats["per_method"]["calc.add"] == n_threads * calls_per_thread
+        latency = stats["latency_ms"]["calc.add"]
         assert latency["count"] == n_threads * calls_per_thread
         assert latency["faults"] == 0
 

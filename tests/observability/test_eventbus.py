@@ -74,6 +74,36 @@ class TestJournalFirstWritePath:
             assert lag["values"][""] == 0.0
 
 
+class TestSamePrioritySteering:
+    """``set_priority`` to a queued task's current priority journals
+    nothing, so the live accounting must not reorder the band either."""
+
+    def _queued_grid(self):
+        from repro.gae import build_gae
+        from repro.gridsim import GridBuilder
+        from repro.gridsim.job import TaskSpec, bag_of_tasks
+
+        reset_id_counters()
+        grid = GridBuilder(seed=2).site("siteA", nodes=1).site("siteB", nodes=1).build()
+        gae = build_gae(grid).start()
+        gae.add_user("u", "p")
+        specs = [TaskSpec(owner="u", priority=1) for _ in range(10)]
+        gae.scheduler.submit_job(bag_of_tasks(specs, [600.0] * 10, owner="u"))
+        gae.sim.run_until(5.0)
+        return gae
+
+    def test_unchanged_priority_keeps_the_fold_identical(self):
+        gae = self._queued_grid()
+        queued = [
+            ad for site in gae.grid.sites.values() for ad in site.pool.queue_snapshot()
+        ]
+        assert len(queued) == 8 and {ad.priority for ad in queued} == {1}
+        with gae.client("u", "p") as client:
+            client.call("steering.set_priority", queued[0].task_id, 1)
+        for report in gae.observability.eventcore.verify_all():
+            assert report["identical"], report
+
+
 class TestOutOfOrderRejection:
     def test_load_from_rejects_non_monotonic_seq(self):
         source = EventJournal(clock=lambda: 0.0)
