@@ -94,8 +94,9 @@ class SteeringService:
         scheduler.plan_listeners.append(self.subscriber.receive_plan)
 
     def attach_site(self, site: Site) -> None:
-        """Wire a site into Backup & Recovery."""
+        """Wire a site into Backup & Recovery and the Subscriber."""
         self.backup_recovery.attach_site(site)
+        site.pool.on_state_change.append(self.subscriber.note_state)
 
     def attach_agent(self, agent) -> None:
         """Let an :class:`AdaptiveSteeringAgent` observe manual moves."""

@@ -13,10 +13,14 @@ earlier ones for the same job.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Set
 
-from repro.gridsim.job import ConcreteJobPlan, Job, Task, plan_from_wire, plan_to_wire
+from repro.gridsim.condor import CondorJobAd
+from repro.gridsim.job import (
+    ConcreteJobPlan, Job, JobState, Task, plan_from_wire, plan_to_wire,
+)
 
 
 @dataclass
@@ -39,6 +43,15 @@ class Subscriber:
     def __init__(self) -> None:
         self._subscriptions: Dict[str, Subscription] = {}
         self._task_index: Dict[str, str] = {}  # task_id -> job_id
+        #: site -> number of current plans binding at least one task to it.
+        self._plans_per_site: Counter = Counter()
+        #: task_id -> task for every task not yet seen COMPLETED, in
+        #: subscription order.  :meth:`active_tasks` prunes completed tasks
+        #: as it meets them: a move vacates first, which rejects terminal
+        #: tasks, and the scheduler refuses to redirect or resubmit a
+        #: completed one.  :meth:`note_state` takes back the rare task
+        #: that still leaves COMPLETED.
+        self._unfinished: Dict[str, Task] = {}
 
     def receive_plan(self, plan: ConcreteJobPlan, job: Job) -> Subscription:
         """Accept a (possibly updated) concrete job plan from the scheduler.
@@ -50,13 +63,19 @@ class Subscriber:
         if existing is None:
             sub = Subscription(job=job, plan=plan, plan_history=[plan])
             self._subscriptions[job.job_id] = sub
-            for task in job.tasks:
-                self._task_index[task.task_id] = job.job_id
+            self._index_job(job)
         else:
+            self._plans_per_site.subtract(existing.execution_sites)
             existing.plan = plan
             existing.plan_history.append(plan)
             sub = existing
+        self._plans_per_site.update(sub.execution_sites)
         return sub
+
+    def _index_job(self, job: Job) -> None:
+        for task in job.tasks:
+            self._task_index[task.task_id] = job.job_id
+            self._unfinished[task.task_id] = task
 
     # ------------------------------------------------------------------
     def subscription(self, job_id: str) -> Subscription:
@@ -91,11 +110,36 @@ class Subscriber:
         the steering service's responsibility.
         """
         out: List[Task] = []
-        for sub in self._subscriptions.values():
-            for task in sub.job.tasks:
-                if not task.state.is_terminal or task.state.value == "moved":
-                    out.append(task)
+        completed: List[str] = []
+        for task_id, task in self._unfinished.items():
+            state = task.state
+            if state is JobState.COMPLETED:
+                completed.append(task_id)
+            elif state is not JobState.FAILED and state is not JobState.KILLED:
+                out.append(task)
+        for task_id in completed:
+            del self._unfinished[task_id]
         return out
+
+    def note_state(self, ad: CondorJobAd) -> None:
+        """Pool state-change hook: take back a pruned task that is live again.
+
+        This happens only when a task has two incarnations: Backup &
+        Recovery resubmitted it from a down site whose pool it had
+        flocked into, and the copy there completed first.  The rebuild
+        keeps subscription order.
+        """
+        task_id = ad.task_id
+        if task_id in self._unfinished or task_id not in self._task_index:
+            return
+        if ad.task.state is JobState.COMPLETED:
+            return
+        self._unfinished = {
+            t.task_id: t
+            for job in self.jobs()
+            for t in job.tasks
+            if t.state is not JobState.COMPLETED
+        }
 
     # ------------------------------------------------------------------
     # checkpoint/restore
@@ -125,14 +169,15 @@ class Subscriber:
         """
         self._subscriptions = {}
         self._task_index = {}
+        self._plans_per_site = Counter()
+        self._unfinished = {}
         for wire in state:
             job = job_resolver(wire["job_id"])  # type: ignore[arg-type]
             history = [plan_from_wire(p) for p in wire["plan_history"]]  # type: ignore[union-attr]
-            self._subscriptions[job.job_id] = Subscription(
-                job=job, plan=history[-1], plan_history=history
-            )
-            for task in job.tasks:
-                self._task_index[task.task_id] = job.job_id
+            sub = Subscription(job=job, plan=history[-1], plan_history=history)
+            self._subscriptions[job.job_id] = sub
+            self._index_job(job)
+            self._plans_per_site.update(sub.execution_sites)
 
     def execution_sites_in_use(self) -> Set[str]:
         """Every site any current plan binds at least one task to.
@@ -140,7 +185,4 @@ class Subscriber:
         This is the set Backup & Recovery "continuously checks … for
         failure" (§4.2.4).
         """
-        sites: Set[str] = set()
-        for sub in self._subscriptions.values():
-            sites.update(sub.execution_sites)
-        return sites
+        return {site for site, plans in self._plans_per_site.items() if plans > 0}

@@ -27,6 +27,7 @@ time-stepping error in any figure.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -124,7 +125,12 @@ class CondorPool:
         self._next_condor_id = 1
         self._ads: Dict[str, CondorJobAd] = {}          # task_id -> ad
         self._by_condor_id: Dict[int, CondorJobAd] = {}
-        self._idle: List[CondorJobAd] = []              # queued, kept sorted
+        self._idle: List[CondorJobAd] = []              # queued, sorted by sort_key
+        self._free_slots = sum(node.free_slots for node in self.nodes)
+        #: Set while :meth:`_try_flock` walks the idle queue; jobs flocked
+        #: back into this pool meanwhile wait in ``_flock_arrivals``.
+        self._flocking = False
+        self._flock_arrivals: List[CondorJobAd] = []
         self.archive: List[CondorJobAd] = []            # terminal ads displaced by resubmission
         self.flock_targets: List["CondorPool"] = []
         self.on_complete: List[Callable[[CondorJobAd], None]] = []
@@ -177,19 +183,32 @@ class CondorPool:
         self._by_condor_id[ad.condor_id] = ad
         task.state = JobState.QUEUED
         ad.state = JobState.QUEUED
-        self._idle.append(ad)
-        self._idle.sort(key=CondorJobAd.sort_key)
+        if self._flocking:
+            self._flock_arrivals.append(ad)
+        else:
+            bisect.insort(self._idle, ad, key=CondorJobAd.sort_key)
         self._notify_state(ad)
         self._try_dispatch()
         return ad.condor_id
 
     def _free_slots_total(self) -> int:
-        return sum(node.free_slots for node in self.nodes)
+        return self._free_slots
+
+    def _idle_index(self, ad: CondorJobAd) -> int:
+        """Position of *ad* in the idle queue; -1 if it is not there."""
+        if ad.state is not JobState.QUEUED:
+            return -1
+        i = bisect.bisect_left(self._idle, ad.sort_key(), key=CondorJobAd.sort_key)
+        if i < len(self._idle) and self._idle[i] is ad:
+            return i
+        return -1
 
     def _try_dispatch(self) -> None:
         # Strict order: the head of the queue runs first.  No backfilling —
         # that keeps the Queue Time Estimator's §6.2 semantics honest (the
         # per-slot division option models drain rate instead).
+        if self._flocking:
+            return  # the flock pass walking the queue finishes first
         while self._idle:
             head = self._idle[0]
             if head.slots_needed > self._free_slots_total():
@@ -215,20 +234,35 @@ class CondorPool:
         Flocking cascades: a job handed to a full neighbour keeps moving
         along the flock chain as long as capacity is reachable somewhere
         (cycle-safe via the visited set), as Condor flocking chains do.
+        A job that flocks back into this pool during the pass (a gang at
+        the head leaves free slots a neighbour can target) joins the queue
+        once the pass is over.
         """
         if not self.flock_targets:
             return
+        self._flocking = True
+        try:
+            self._idle = self._flock_pass()
+        finally:
+            self._flocking = False
+        for ad in self._flock_arrivals:
+            bisect.insort(self._idle, ad, key=CondorJobAd.sort_key)
+        self._flock_arrivals = []
+
+    def _flock_pass(self) -> List[CondorJobAd]:
+        """Forward what can flock; returns the ads that stay, in order."""
         still_idle: List[CondorJobAd] = []
-        for ad in self._idle:
-            target: Optional["CondorPool"] = None
-            for p in self.flock_targets:
-                if p._free_slots_total() >= ad.slots_needed or p._reachable_capacity(
-                    ad.slots_needed, frozenset({id(self), id(p)})
-                ):
-                    target = p
-                    break
+        for i, ad in enumerate(self._idle):
+            target = self._flock_target(ad.slots_needed)
             if target is None:
                 still_idle.append(ad)
+                # A pass runs at one simulated instant and only starts jobs,
+                # so no pool's free capacity rises during it: once no
+                # target can seat even one slot, no later ad can flock and
+                # the rest of the queue stays as it is, in order.
+                if ad.slots_needed == 1 or self._flock_target(1) is None:
+                    still_idle.extend(self._idle[i + 1:])
+                    break
                 continue
             # Hand the job over: it leaves this pool entirely.  The target's
             # own dispatch forwards it onward if the target is full.
@@ -238,7 +272,16 @@ class CondorPool:
                 cb(ad)
             carried = ad.accrued_work if ad.task.checkpointable else 0.0
             target.submit(ad.task, initial_work=carried)
-        self._idle = still_idle
+        return still_idle
+
+    def _flock_target(self, need: int) -> Optional["CondorPool"]:
+        """First flock target that can seat *need* slots, directly or onward."""
+        for p in self.flock_targets:
+            if p._free_slots_total() >= need or p._reachable_capacity(
+                need, frozenset({id(self), id(p)})
+            ):
+                return p
+        return None
 
     def _start(self, ad: CondorJobAd) -> None:
         # Greedy slot allocation across nodes; a gang task may span several.
@@ -252,6 +295,7 @@ class CondorPool:
                 ad.allocated.append(node)
                 remaining -= take
         assert remaining == 0, "dispatch guaranteed enough free slots"
+        self._free_slots -= ad.slots_needed
         ad.effective_profile = LoadProfile.combine_max(
             [n.load_profile for n in ad.allocated]
         )
@@ -300,7 +344,9 @@ class CondorPool:
 
     def _release(self, ad: CondorJobAd) -> None:
         for node in ad.allocated:
+            held = node.free_slots
             node.release(ad.task_id)
+            self._free_slots += node.free_slots - held
         ad.allocated = []
         ad.effective_profile = None
         ad._finish_handle = None
@@ -348,11 +394,12 @@ class CondorPool:
         return sorted(running, key=lambda a: a.condor_id)
 
     def queue_position(self, task_id: str) -> int:
-        """0-based position in the idle queue; -1 if not queued."""
-        for i, ad in enumerate(self._idle):
-            if ad.task_id == task_id:
-                return i
-        return -1
+        """0-based position in the idle queue (a bisect on ``sort_key``).
+
+        -1 for a task this pool does not know or that is not QUEUED.
+        """
+        ad = self._ads.get(task_id)
+        return -1 if ad is None else self._idle_index(ad)
 
     def tasks_ahead_of(self, task_id: str) -> List[CondorJobAd]:
         """Ads that will complete before the given queued task can start.
@@ -365,13 +412,7 @@ class CondorPool:
         ad = self.ad(task_id)
         if ad.state is not JobState.QUEUED:
             return []
-        ahead = [a for a in self.running_snapshot() if a.task_id != task_id]
-        for other in self._idle:
-            if other.task_id == task_id:
-                continue
-            if other.sort_key() < ad.sort_key():
-                ahead.append(other)
-        return ahead
+        return self.running_snapshot() + self._idle[: max(self._idle_index(ad), 0)]
 
     @property
     def total_slots(self) -> int:
@@ -467,8 +508,9 @@ class CondorPool:
             self._sync(ad)
         if ad._finish_handle is not None:
             ad._finish_handle.cancel()
-        if ad in self._idle:
-            self._idle.remove(ad)
+        i = self._idle_index(ad)
+        if i >= 0:
+            del self._idle[i]
         if ad.allocated:
             self._release(ad)
         ad.state = final_state
@@ -478,14 +520,17 @@ class CondorPool:
         self._try_dispatch()
 
     def set_priority(self, task_id: str, priority: int) -> None:
-        """Change a task's priority; re-sorts the idle queue if needed."""
+        """Change a task's priority; a queued task moves to its new place."""
         ad = self.ad(task_id)
         if ad.state.is_terminal:
             raise CondorError(f"cannot reprioritise task in state {ad.state.value}")
+        i = self._idle_index(ad)
+        if i >= 0:
+            del self._idle[i]
         ad.priority = int(priority)
         ad.task.spec = ad.task.spec.with_priority(int(priority))
-        if ad in self._idle:
-            self._idle.sort(key=CondorJobAd.sort_key)
+        if i >= 0:
+            bisect.insort(self._idle, ad, key=CondorJobAd.sort_key)
         self._notify_state(ad)
 
     # ------------------------------------------------------------------
@@ -584,6 +629,7 @@ class CondorPool:
                 ad.last_sync = self.sim.now
                 self._arm_finish(ad)
         self._idle = [self._ads[task_id] for task_id in state["idle"]]  # type: ignore[union-attr]
+        self._free_slots = sum(node.free_slots for node in self.nodes)
 
     def enable_flocking(self, *pools: "CondorPool") -> None:
         """Allow idle jobs to flock to the given pools when this one is full."""

@@ -25,6 +25,7 @@ the job", §4.2.4).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -131,6 +132,9 @@ class SphinxScheduler:
         #: site.  Sphinx balanced; so do we.
         self.commitment_aware = True
         self._commitments: Dict[str, str] = {}
+        #: site -> number of :attr:`_commitments` entries naming it, kept
+        #: in step by :meth:`_commit` and :meth:`_uncommit`.
+        self._committed_per_site: Counter = Counter()
         self._services: Dict[str, ExecutionService] = {}
         self._jobs: Dict[str, _JobEntry] = {}
         self._task_index: Dict[str, str] = {}  # task_id -> job_id
@@ -159,7 +163,7 @@ class SphinxScheduler:
 
         def on_state_change(ad) -> None:
             if ad.state.is_terminal:
-                self._commitments.pop(ad.task_id, None)
+                self._uncommit(ad.task_id)
             elif ad.state is JobState.QUEUED:
                 self._note_arrival(ad.task_id, name)
 
@@ -212,7 +216,7 @@ class SphinxScheduler:
             else:
                 load = service.current_load()
             if self.commitment_aware:
-                committed = sum(1 for s in self._commitments.values() if s == name)
+                committed = self._committed_per_site[name]
                 load += committed / max(1, service.pool.total_slots)
             stage_in = 0.0
             if self.replica_catalog is not None and task.spec.input_files:
@@ -260,7 +264,7 @@ class SphinxScheduler:
             binding_list.append(TaskBinding(task_id=t.task_id, site_name=site))
             # Count the binding immediately so the next task in this same
             # plan sees the site as busier (intra-plan load balancing).
-            self._commitments[t.task_id] = site
+            self._commit(t.task_id, site)
         bindings = tuple(binding_list)
         plan = ConcreteJobPlan(job_id=job.job_id, bindings=bindings, created_at=self.sim.now)
         entry = _JobEntry(job=job, plan=plan)
@@ -285,7 +289,7 @@ class SphinxScheduler:
     def _submit_to(self, entry: _JobEntry, task: Task, site_name: str, initial_work: float = 0.0) -> None:
         delay = self._stage_in_delay(task, site_name)
         entry.submitted.add(task.task_id)
-        self._commitments[task.task_id] = site_name
+        self._commit(task.task_id, site_name)
         if delay <= 0.0:
             self._deliver(task, site_name, initial_work)
             return
@@ -343,8 +347,21 @@ class SphinxScheduler:
         if entry.plan.site_for(task_id) == site_name:
             return
         entry.plan = entry.plan.rebind(task_id, site_name)
-        self._commitments[task_id] = site_name
+        self._commit(task_id, site_name)
         self._emit_plan(entry)
+
+    def _commit(self, task_id: str, site_name: str) -> None:
+        """Count *task_id* against *site_name* (replacing any earlier site)."""
+        previous = self._commitments.get(task_id)
+        if previous is not None:
+            self._committed_per_site[previous] -= 1
+        self._commitments[task_id] = site_name
+        self._committed_per_site[site_name] += 1
+
+    def _uncommit(self, task_id: str) -> None:
+        site_name = self._commitments.pop(task_id, None)
+        if site_name is not None:
+            self._committed_per_site[site_name] -= 1
 
     def _on_task_complete(self, ad: CondorJobAd) -> None:
         job_id = self._task_index.get(ad.task_id)
@@ -375,8 +392,7 @@ class SphinxScheduler:
         old site first, charged as real simulated transfer time (§7: "the
         time taken to transfer the data files needed by the job").
         """
-        entry = self._entry_for_task(task_id)
-        task = entry.job.task(task_id)
+        entry, task = self._live_task(task_id)
         old_site = entry.plan.site_for(task_id)
         if new_site is None:
             new_site = self.select_site(task, exclude={old_site})
@@ -428,8 +444,7 @@ class SphinxScheduler:
         Used by Backup & Recovery after an execution-service failure.  The
         failed site is excluded automatically.
         """
-        entry = self._entry_for_task(task_id)
-        task = entry.job.task(task_id)
+        entry, task = self._live_task(task_id)
         old_site = entry.plan.site_for(task_id)
         excluded = set(exclude) | {old_site}
         try:
@@ -446,6 +461,18 @@ class SphinxScheduler:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
+    def _live_task(self, task_id: str) -> Tuple[_JobEntry, Task]:
+        """Entry and task for a redirect or resubmission.
+
+        COMPLETED is final: a completed task is never planned again, which
+        is what lets the steering Subscriber forget it for good.
+        """
+        entry = self._entry_for_task(task_id)
+        task = entry.job.task(task_id)
+        if task.state is JobState.COMPLETED:
+            raise SchedulingError(f"task {task_id} has already completed")
+        return entry, task
+
     def _entry_for_task(self, task_id: str) -> _JobEntry:
         job_id = self._task_index.get(task_id)
         if job_id is None:
@@ -533,6 +560,7 @@ class SphinxScheduler:
         self._commitments = {
             task_id: site for task_id, site in state["commitments"]  # type: ignore[union-attr]
         }
+        self._committed_per_site = Counter(self._commitments.values())
         self.staging = {}
         self._staging_work = {}
         for task_id, site, finish_time, initial_work in state["staging"]:  # type: ignore[union-attr]

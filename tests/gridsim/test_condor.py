@@ -348,6 +348,29 @@ class TestFlockChains:
         sim.run_until(20.0)
         assert overflow.state is JobState.COMPLETED
 
+    def test_job_flocked_back_during_a_pass_waits_for_the_pass(self, sim):
+        """A <-> B with a gang at each head: a job A forwards to B is sent
+        straight back while A's flock pass is still walking A's queue."""
+        a = CondorPool(sim, "poolA", [Node(name="an", cpu_count=2)])
+        b = CondorPool(sim, "poolB", [Node(name="bn", cpu_count=2)])
+        a.enable_flocking(b)
+        b.enable_flocking(a)
+        a.submit(make_task(work=1000.0))
+        b.submit(make_task(work=1000.0))
+        gang_a, gang_b = make_task(nodes=2), make_task(nodes=2)
+        a.submit(gang_a)  # one slot free at each pool: nowhere to seat it
+        b.submit(gang_b)
+        bounced = make_task(work=10.0)
+        a.submit(bounced)  # A -> B -> back to A, mid-pass
+        assert [ad.task_id for ad in a.queue_snapshot()] == [
+            gang_a.task_id, bounced.task_id,
+        ]
+        assert [ad.task_id for ad in b.queue_snapshot()] == [gang_b.task_id]
+        assert not b.has_task(bounced.task_id)
+        assert a.queue_position(bounced.task_id) == 1
+        sim.run()
+        assert bounced.state is JobState.COMPLETED
+
 
 class TestPausedTaskControl:
     def test_vacate_paused_task_and_restart_elsewhere(self, sim):
